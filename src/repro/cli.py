@@ -434,7 +434,10 @@ def cmd_profile(args, out) -> int:
         document = _json.dumps(payload, indent=2, sort_keys=True)
     else:
         header = (f"{args.workload}/{args.scale} on backend="
-                  f"{getattr(args, 'backend', 'thread')} ({workers} workers)")
+                  f"{getattr(args, 'backend', 'thread')} ({workers} workers")
+        if profile.blas_threads is not None:
+            header += f", blas_threads={profile.blas_threads}"
+        header += ")"
         document = f"{header}\n{render_profile(profile, top=args.top)}"
     if args.out:
         try:

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.matrix.tile import dense_matmul
 
 #: One addend of an output: (left payload index, right payload index|None).
 Term = tuple[int, "int | None"]
@@ -308,7 +309,8 @@ def execute_plan(plan: BlockPlan,
                  payloads: list[np.ndarray]) -> list[tuple[np.ndarray, int]]:
     """Evaluate every output of ``plan``; returns ``(array, nnz)`` pairs.
 
-    The operation sequence — transpose views, ``@``, left-to-right ``+`` —
+    The operation sequence — transpose views, GEMM products
+    (:func:`~repro.matrix.tile.dense_matmul`), left-to-right ``+`` —
     mirrors the inline runners exactly, so results are bit-identical to the
     thread backend's on the same inputs.
     """
@@ -322,7 +324,8 @@ def execute_plan(plan: BlockPlan,
     for terms in plan.outputs:
         accumulator = None
         for left, right in terms:
-            value = views[left] if right is None else views[left] @ views[right]
+            value = views[left] if right is None \
+                else dense_matmul(views[left], views[right])
             accumulator = value if accumulator is None \
                 else accumulator + value
         if accumulator.base is not None or any(

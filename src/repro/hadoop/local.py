@@ -259,45 +259,63 @@ class LocalExecutor:
             self._kernel_pool = None
 
     def run(self, dag: JobDag) -> LocalRunReport:
-        """Execute all jobs in dependency order; returns timing report."""
-        if self.metrics.enabled:
-            self.metrics.inc(f"local.runs.{self.backend}")
-        if self.backend == BACKEND_PROCESS:
-            from repro.hadoop import kernels
-            from repro.hadoop.procpool import ProcessDispatcher
-            dispatcher = ProcessDispatcher(self.kernel_pool(), self.metrics,
-                                           recorder=self.recorder)
-            with kernels.use_dispatcher(dispatcher):
-                return self._run_dag(dag)
-        return self._run_dag(dag)
+        """Execute all jobs in dependency order; returns timing report.
+
+        For the run's duration BLAS is held to each of the ``max_workers``
+        kernel callers' share of the cores (see :mod:`repro.hadoop.blas`);
+        the process backend's workers hold the same budget on their own.
+        """
+        from repro.hadoop import blas
+
+        metrics = self.metrics
+        if metrics.enabled:
+            metrics.inc(f"local.runs.{self.backend}")
+        with blas.limit_threads(blas.thread_budget(self.max_workers)) \
+                as threads:
+            if threads is not None and metrics.enabled:
+                metrics.set_gauge("local.blas_threads", threads,
+                                  labels={"backend": self.backend})
+            if self.backend == BACKEND_PROCESS:
+                from repro.hadoop import kernels
+                from repro.hadoop.procpool import ProcessDispatcher
+                dispatcher = ProcessDispatcher(self.kernel_pool(), metrics,
+                                               recorder=self.recorder)
+                with kernels.use_dispatcher(dispatcher):
+                    return self._run_dag(dag)
+            return self._run_dag(dag)
 
     def _run_dag(self, dag: JobDag) -> LocalRunReport:
         report = LocalRunReport()
         finished: set[str] = set()
         slots = _SlotPool(self.max_workers)
-        for job in dag.topological_order():
-            missing = job.depends_on - finished
-            if missing:
-                raise ExecutionError(
-                    f"job {job.job_id} scheduled before dependencies {missing}"
-                )
-            report.job_reports.append(self._run_job(job, slots))
-            finished.add(job.job_id)
+        # One pool serves every phase of the run, so no job pays for
+        # starting and joining threads; they start on first use.
+        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
+            for job in dag.topological_order():
+                missing = job.depends_on - finished
+                if missing:
+                    raise ExecutionError(
+                        f"job {job.job_id} scheduled before dependencies "
+                        f"{missing}")
+                report.job_reports.append(self._run_job(job, slots, pool))
+                finished.add(job.job_id)
         return report
 
-    def _run_job(self, job: Job, slots: _SlotPool) -> LocalJobReport:
+    def _run_job(self, job: Job, slots: _SlotPool,
+                 pool: ThreadPoolExecutor) -> LocalJobReport:
         started = time.perf_counter()
         # Map phase, then (for MapReduce jobs) reduce phase — a real barrier,
         # matching Hadoop semantics.
-        self._run_phase(job, job.map_tasks, slots)
-        self._run_phase(job, job.reduce_tasks, slots)
+        self._run_phase(job, job.map_tasks, slots, pool)
+        self._run_phase(job, job.reduce_tasks, slots, pool)
         elapsed = time.perf_counter() - started
         if self.metrics.enabled:
             self.metrics.inc("local.jobs_completed")
             self.metrics.observe("local.job_seconds", elapsed)
         return LocalJobReport(job.job_id, elapsed, job.num_tasks)
 
-    def _run_phase(self, job: Job, tasks, slots: _SlotPool) -> None:
+    def _run_phase(self, job: Job, tasks, slots: _SlotPool,
+                   pool: ThreadPoolExecutor) -> None:
         runnable = [task for task in tasks if task.run is not None]
         if not runnable:
             return
@@ -305,17 +323,17 @@ class LocalExecutor:
             for task in runnable:
                 self._invoke(job, task, slots)
             return
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            futures = [pool.submit(self._invoke, job, task, slots)
-                       for task in runnable]
-            # Stop dispatching as soon as anything fails: cancel what has
-            # not started, let running tasks drain, raise the first error.
-            __, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-            for future in not_done:
-                future.cancel()
-            for future in futures:
-                if not future.cancelled():
-                    future.result()  # propagate the first failure
+        futures = [pool.submit(self._invoke, job, task, slots)
+                   for task in runnable]
+        # Stop dispatching as soon as anything fails: cancel what has not
+        # started and raise the first error; leaving the run's pool lets
+        # running tasks drain before the error escapes ``run``.
+        __, not_done = wait(futures, return_when=FIRST_EXCEPTION)
+        for future in not_done:
+            future.cancel()
+        for future in futures:
+            if not future.cancelled():
+                future.result()  # propagate the first failure
 
     def _invoke(self, job: Job, task, slots: _SlotPool) -> None:
         """Run one task to completion, retrying per the policy.

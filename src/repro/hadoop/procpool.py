@@ -33,6 +33,11 @@ With recording *off* the request flag is ``False``, the worker takes no
 timestamps, and responses carry ``None`` instead of a buffer — the
 tripwire tests lock that the disabled path does no extra work.
 
+Cores: each worker holds its BLAS to its share of the cores
+(:func:`~repro.hadoop.blas.thread_budget` over the pool size), set when
+the worker starts, so a pool of N workers never runs more BLAS threads
+than the machine has cores.
+
 Platform notes: workers start via ``fork`` where available (Linux; ``spawn``
 elsewhere, with its per-worker interpreter startup cost), are daemonic (they
 can never outlive the executor), and a worker that dies mid-request is
@@ -53,6 +58,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.errors import ExecutionError, ValidationError
+from repro.hadoop import blas
 from repro.hadoop.kernels import (
     BlockPlan,
     GridMultPlan,
@@ -91,6 +97,10 @@ TILE_BATCH_BUCKETS: tuple[float, ...] = (
 
 _SENTINEL = None
 
+#: Request asking a worker for its BLAS thread count (see
+#: :meth:`KernelPool.blas_threads`).
+_BLAS_PROBE = "blas-threads"
+
 
 def _preferred_start_method() -> str:
     """``fork`` where the platform offers it (cheap, instant workers)."""
@@ -100,15 +110,21 @@ def _preferred_start_method() -> str:
 
 # -- worker side ---------------------------------------------------------------
 
-def _worker_main(conn) -> None:
+def _worker_main(conn, blas_threads: int | None = None) -> None:
     """Worker loop: map request buffers, evaluate plans, reply with nnz.
 
-    Requests are ``(in_name, in_slots, out_name, plan, collect)``; replies
-    are ``(ok, counts_or_message, events)`` where ``events`` is ``None``
-    unless ``collect`` was set, in which case it is a tuple of
-    ``(kind, label, amount, start_rel, end_rel)`` records with times in
-    seconds relative to the moment the worker picked up the request.
+    A worker process first lowers its BLAS to ``blas_threads`` threads, its
+    share of the cores (``None`` leaves BLAS alone, for a loop run inside
+    another process).  Requests are ``(in_name, in_slots, out_name, plan,
+    collect)``; replies are ``(ok, counts_or_message, events)`` where
+    ``events`` is ``None`` unless ``collect`` was set, in which case it is
+    a tuple of ``(kind, label, amount, start_rel, end_rel)`` records with
+    times in seconds relative to the moment the worker picked up the
+    request.  A :data:`_BLAS_PROBE` request is answered with the worker's
+    BLAS thread count in place of the counts.
     """
+    if blas_threads is not None:
+        blas.apply_budget(blas_threads)
     segments: dict[str, shared_memory.SharedMemory] = {}
     try:
         while True:
@@ -118,6 +134,9 @@ def _worker_main(conn) -> None:
                 return
             if request is _SENTINEL:
                 return
+            if request == _BLAS_PROBE:
+                conn.send((True, blas.current_threads(), None))
+                continue
             in_name, in_slots, out_name, plan, collect = request
             log: list | None = [] if collect else None
             epoch = time.perf_counter() if collect else 0.0
@@ -253,9 +272,10 @@ class _WorkerHandle:
     whole history of slot N even across a worker death.
     """
 
-    def __init__(self, context, index: int):
+    def __init__(self, context, index: int, blas_threads: int):
         self._context = context
         self.index = index
+        self.blas_threads = blas_threads
         self.conn = None
         self.process = None
         #: Kind of the last plan dispatched to this worker (failure forensics).
@@ -312,7 +332,7 @@ class _WorkerHandle:
         """(Re)start the worker process."""
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
-            target=_worker_main, args=(child_conn,),
+            target=_worker_main, args=(child_conn, self.blas_threads),
             name="repro-kernel-worker", daemon=True)
         process.start()
         child_conn.close()
@@ -388,7 +408,10 @@ class KernelPool:
         # that warns about "leaked" segments the parent already unlinked.
         from multiprocessing import resource_tracker
         resource_tracker.ensure_running()
-        self._handles = [_WorkerHandle(self._context, index)
+        # Each worker is one of ``workers`` concurrent kernel callers, so
+        # it gets that share of the cores for its BLAS.
+        budget = blas.thread_budget(workers)
+        self._handles = [_WorkerHandle(self._context, index, budget)
                          for index in range(workers)]
         self._free = list(self._handles)
         self._condition = threading.Condition()
@@ -432,6 +455,24 @@ class KernelPool:
         with self._condition:
             self._free.append(handle)
             self._condition.notify()
+
+    def blas_threads(self) -> list[int | None]:
+        """Each worker's BLAS thread count as the worker reports it, in
+        worker-index order (``None`` where it found no OpenBLAS)."""
+        handles = [self.acquire() for __ in range(self.workers)]
+        try:
+            counts = []
+            for handle in sorted(handles, key=lambda h: h.index):
+                handle.conn.send(_BLAS_PROBE)
+                if not handle.conn.poll(self.request_timeout):
+                    raise ExecutionError(
+                        f"kernel worker {handle.index} (pid {handle.pid}) "
+                        f"did not answer a BLAS probe")
+                counts.append(handle.conn.recv()[1])
+            return counts
+        finally:
+            for handle in handles:
+                self.release(handle)
 
     def close(self) -> None:
         """Stop every worker.  Safe to call more than once."""

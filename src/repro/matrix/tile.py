@@ -139,7 +139,22 @@ def tile_matmul(left, right) -> np.ndarray:
         )
     if _is_sparse(left) and _is_sparse(right):
         return left @ right
-    return densify(left) @ densify(right)
+    return dense_matmul(densify(left), densify(right))
+
+
+def dense_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left @ right`` through the general matrix kernel (GEMM).
+
+    numpy computes ``X @ X.T`` -- both operands views of one buffer -- with
+    the symmetric rank-k kernel (SYRK), whose rounding differs from GEMM's
+    in the last bits.  A kernel worker process always receives the two
+    operands as separate copies, so for every backend to produce the same
+    bits no path may take that shortcut: an operand that may share memory
+    with the other is copied first, keeping its memory layout.
+    """
+    if np.may_share_memory(left, right):
+        right = right.copy(order="K")
+    return left @ right
 
 
 def tile_add(left, right):

@@ -80,6 +80,9 @@ class ExecutionProfile:
     kernel_seconds: float = 0.0
     #: Execution-only wall seconds the profile is normalized against.
     wall_seconds: float = 0.0
+    #: BLAS threads per kernel caller during the run (``local.blas_threads``;
+    #: None when unknown).
+    blas_threads: int | None = None
 
     @property
     def kernel_coverage(self) -> float:
@@ -94,6 +97,7 @@ class ExecutionProfile:
             "wall_seconds": self.wall_seconds,
             "kernel_seconds": self.kernel_seconds,
             "kernel_coverage": self.kernel_coverage,
+            "blas_threads": self.blas_threads,
             "plans": [vars(plan).copy() for plan in self.plans],
             "tasks": [vars(task).copy() for task in self.tasks],
             "lanes": [
@@ -123,7 +127,8 @@ def profile_trace(trace: Trace, wall_seconds: float | None = None,
     omitted, the trace's own makespan is used.  ``registry`` (a
     :class:`~repro.observability.metrics.MetricsRegistry` from the same
     run) supplies the per-plan tile totals the trace events do not carry
-    (``procpool.plan_tiles``).
+    (``procpool.plan_tiles``) and the run's BLAS thread budget
+    (``local.blas_threads``).
     """
     plans: dict[str, PlanProfile] = {}
     tasks: dict[str, PlanProfile] = {}
@@ -148,8 +153,11 @@ def profile_trace(trace: Trace, wall_seconds: float | None = None,
         else trace.makespan
     for lane in lanes.values():
         lane.utilization = lane.busy_seconds / window if window > 0 else 0.0
+    blas_threads = None
     if registry is not None and getattr(registry, "enabled", False):
         for metric in registry.metrics():
+            if metric.name == "local.blas_threads":
+                blas_threads = int(metric.value)
             if metric.name != "procpool.plan_tiles":
                 continue
             kind = metric.label_dict().get("plan", "")
@@ -164,6 +172,7 @@ def profile_trace(trace: Trace, wall_seconds: float | None = None,
         lanes=ordered_lanes,
         kernel_seconds=kernel_seconds,
         wall_seconds=window,
+        blas_threads=blas_threads,
     )
 
 

@@ -139,6 +139,18 @@ class TestWorkloadEquivalence:
                               make_inputs(program, rng, positive=True),
                               tile_size=16)
 
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_gnmf_rank_32_self_transpose_products(self, max_workers):
+        # H @ H.T and W.T @ W read one tile as both operands, where numpy
+        # would take its SYRK shortcut inline; at rank 32 its last bits
+        # differ from the workers' GEMM.
+        rng = np.random.default_rng(RNG_SEED + 8)
+        program = build_gnmf_program(rows=512, cols=256, rank=32,
+                                     iterations=1)
+        assert_backends_agree(program,
+                              make_inputs(program, rng, positive=True),
+                              tile_size=256, max_workers=max_workers)
+
     def test_transposes_and_elementwise(self):
         program = Program("mixed")
         a = program.declare_input("A", 40, 24)

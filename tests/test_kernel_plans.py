@@ -26,6 +26,7 @@ from repro.hadoop.kernels import (
     use_dispatcher,
 )
 from repro.matrix.arena import ArenaRef, TileArena
+from repro.matrix.tile import tile_matmul
 
 RNG = np.random.default_rng(11)
 
@@ -194,6 +195,32 @@ class TestGridMultPlan:
         a, b = self.make_blocks(plan)
         outputs, __ = execute_grid_mult(plan, a, b)
         assert np.array_equal(outputs[0], a[0] @ b[0])
+
+    @pytest.mark.parametrize("left_transposed", [False, True])
+    def test_self_transpose_product_matches_inline_bits(self,
+                                                        left_transposed):
+        # H @ H.T (and W.T @ W) read one tile for both operands.  numpy
+        # would compute that aliased product with SYRK, while a worker
+        # gets two copies and runs GEMM; GNMF at rank 32 showed the
+        # last-bit difference.  Every path must give the worker's bits.
+        tile = np.random.default_rng(0).random((32, 256))
+        if left_transposed:
+            tile = np.ascontiguousarray(tile.T)
+        rows = tile.shape[1] if left_transposed else tile.shape[0]
+        plan = GridMultPlan(ni=1, nj=1, nk=1, a_shape=tile.shape,
+                            b_shape=tile.shape,
+                            left_transposed=left_transposed,
+                            right_transposed=not left_transposed,
+                            out_shape=(rows, rows))
+        worker, __ = execute_grid_mult(plan, tile[None].copy(),
+                                       tile[None].copy())
+        left = tile.T if left_transposed else tile
+        right = tile if left_transposed else tile.T
+        assert np.array_equal(tile_matmul(left, right), worker[0])
+        block = BlockPlan((left_transposed, not left_transposed),
+                          (((0, 1),),), ((rows, rows),))
+        inline, __ = execute_plan(block, [tile, tile])[0]
+        assert np.array_equal(inline, worker[0])
 
     def test_block_shapes_validated(self):
         plan = GridMultPlan(ni=2, nj=2, nk=2, a_shape=(3, 3),
