@@ -13,10 +13,17 @@ Both methods run with the memo and parallel pricing on; the comparison
 isolates what the surrogate itself saves (requests never made), not what
 the cache absorbs.  ``REPRO_BENCH_TINY=1`` shortens the sweep to its two
 endpoint deadlines for CI smoke; the grid and the >=5x bar stay the same.
+
+``sim_us_per_task`` gates the simulator's hot loop: CPU microseconds per
+simulated task attempt over every simulation the exhaustive sweep runs.
+It is measured on each simulating thread (``time.thread_time``), so the
+parallel pricing threads' waits for one another are not billed.
 """
 
 import os
+import threading
 import time
+from contextlib import contextmanager
 
 from repro.cloud import get_instance_type
 from repro.core.optimizer import (
@@ -27,6 +34,7 @@ from repro.core.optimizer import (
 from repro.core.physical import MatMulParams
 from repro.core.surrogate import surrogate_minimize_cost_under_deadline
 from repro.errors import InfeasibleConstraintError
+from repro.hadoop.simulator import ClusterSimulator
 from repro.workloads import build_gnmf_program
 
 from benchmarks.common import Table, report
@@ -79,6 +87,35 @@ def sweep(optimizer, solve):
     return plans, time.perf_counter() - started, avoided
 
 
+@contextmanager
+def metered_simulator():
+    """Meter every completed ``ClusterSimulator.run`` while active.
+
+    Yields a dict that ends up holding the runs' summed thread CPU seconds
+    and task attempts (aborted runs count neither).
+    """
+    meter = {"seconds": 0.0, "attempts": 0}
+    lock = threading.Lock()
+    run = ClusterSimulator.run
+
+    def metered(self, dag, *args, **kwargs):
+        started = time.thread_time()
+        result = run(self, dag, *args, **kwargs)
+        seconds = time.thread_time() - started
+        attempts = sum(len(timeline.attempts)
+                       for timeline in result.job_timelines.values())
+        with lock:
+            meter["seconds"] += seconds
+            meter["attempts"] += attempts
+        return result
+
+    ClusterSimulator.run = metered
+    try:
+        yield meter
+    finally:
+        ClusterSimulator.run = run
+
+
 def solve_exhaustive(optimizer, deadline, space):
     return optimizer._minimize_cost_under_deadline_reliable(
         deadline, make_reliability(), space).plan
@@ -93,7 +130,9 @@ def build_series():
     program = make_program()
     exhaustive = DeploymentOptimizer(program, tile_size=TILE, workers=4)
     surrogate = DeploymentOptimizer(program, tile_size=TILE, workers=4)
-    grid_plans, grid_seconds, __ = sweep(exhaustive, solve_exhaustive)
+    with metered_simulator() as meter:
+        grid_plans, grid_seconds, __ = sweep(exhaustive, solve_exhaustive)
+    sim_us_per_task = 1e6 * meter["seconds"] / meter["attempts"]
     model_plans, model_seconds, avoided = sweep(surrogate, solve_surrogate)
     rows = []
     for minutes, grid_plan, model_plan in zip(DEADLINES_MIN, grid_plans,
@@ -110,13 +149,14 @@ def build_series():
     model_sims = surrogate._sim_requests
     ratio = grid_sims / model_sims if model_sims else float("inf")
     summary = [grid_sims, model_sims, ratio, avoided,
-               grid_seconds, model_seconds]
+               grid_seconds, model_seconds, sim_us_per_task]
     return rows, summary
 
 
 def test_e27_surrogate_search(benchmark):
     rows, summary = benchmark.pedantic(build_series, rounds=1, iterations=1)
-    grid_sims, model_sims, ratio, avoided, grid_s, model_s = summary
+    (grid_sims, model_sims, ratio, avoided, grid_s, model_s,
+     sim_us_per_task) = summary
     report(Table(
         experiment="E27",
         title="GNMF reliable deadline sweep: surrogate vs exhaustive grid",
@@ -130,6 +170,7 @@ def test_e27_surrogate_search(benchmark):
         "simulations_avoided": avoided,
         "exhaustive_seconds": round(grid_s, 4),
         "surrogate_seconds": round(model_s, 4),
+        "sim_us_per_task": round(sim_us_per_task, 3),
     }, params={"tile": TILE, "deadlines": len(DEADLINES_MIN),
                "scenarios": SCENARIOS, "tiny": int(TINY)})
     # The surrogate must change nothing but the amount of simulation.

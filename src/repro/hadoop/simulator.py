@@ -21,10 +21,19 @@ make cluster sizing non-trivial:
   the phenomenon speculation exists to mitigate.
 
 Determinism: task assignment order is fixed (FIFO by job, then task index;
-nodes scanned in name order) and failures are pure functions of seeds, so a
-given input always yields the same timeline.  Task duration is computed once,
-at task start, from the node's concurrency at that moment — a documented
-simplification that keeps the simulation linear-time.
+each task goes to the free live node with the least ``(busy, name)``) and
+failures are pure functions of seeds, so a given input always yields the
+same timeline.  Task duration is computed once, at task start, from the
+node's concurrency at that moment — a documented simplification that keeps
+each attempt O(1) to price.
+
+Cost: slot assignment does not scan the cluster.  :class:`_FreeNodes` keeps
+the live nodes with a free slot in one bucket per busy count, as bitmasks
+over node ranks (a node's position in string order of names), so picking a
+node costs O(slots per node) — or O(replication) for a task with preferred
+nodes — instead of O(nodes), and FIFO dispatch drains each job's queue in
+one in-order pass.  A run is O(events × (slots + log events)), plus the
+FAIR policy's per-assignment sort over runnable jobs.
 """
 
 from __future__ import annotations
@@ -162,7 +171,7 @@ class _NodeState:
     """Mutable per-node bookkeeping during simulation."""
 
     __slots__ = ("name", "slots", "busy", "slow_factor", "free_slots",
-                 "alive")
+                 "alive", "bit")
 
     def __init__(self, name: str, slots: int, slow_factor: float = 1.0):
         self.name = name
@@ -174,16 +183,95 @@ class _NodeState:
         #: free slot, which makes slot assignment (and hence traces)
         #: deterministic.
         self.free_slots = list(range(slots))
-
-    @property
-    def free(self) -> int:
-        return self.slots - self.busy
+        #: ``1 << rank``, the node's rank being its position in string
+        #: order of node names (set by :class:`_FreeNodes`).
+        self.bit = 0
 
     def acquire_slot(self) -> int:
         return heapq.heappop(self.free_slots)
 
     def release_slot(self, slot: int) -> None:
         heapq.heappush(self.free_slots, slot)
+
+
+class _FreeNodes:
+    """Index of the live nodes with a free slot, for slot assignment.
+
+    ``buckets[b]`` is a bitmask holding bit ``rank`` of every live node
+    with ``b < slots`` busy slots, where a node's rank is its position in
+    string order of node names.  The scheduler's choice — the free live
+    node with the least ``(busy, name)`` — is then the lowest set bit of
+    the first non-empty bucket: O(slots) per pick rather than a scan of
+    every node.  Ties break on the string name, so ``m1.large-10`` still
+    precedes ``m1.large-2``.
+
+    Every change to a node's ``busy`` count or liveness goes through
+    :meth:`occupy`, :meth:`vacate` and :meth:`remove`, which keep the
+    buckets in step with the nodes.
+    """
+
+    __slots__ = ("by_rank", "by_name", "buckets", "locality_aware")
+
+    def __init__(self, nodes: list[_NodeState], slots: int,
+                 locality_aware: bool = True):
+        self.locality_aware = locality_aware
+        self.by_rank = sorted(nodes, key=lambda node: node.name)
+        for rank, node in enumerate(self.by_rank):
+            node.bit = 1 << rank
+        self.by_name = {node.name: node for node in nodes}
+        self.buckets = [0] * slots
+        self.buckets[0] = (1 << len(nodes)) - 1
+
+    def has_free(self) -> bool:
+        """Whether some live node has a free slot."""
+        return any(self.buckets)
+
+    def pick(self, preferred: frozenset[str] = frozenset()
+             ) -> _NodeState | None:
+        """The free live node with the least ``(busy, name)``, or None.
+
+        With ``preferred`` names (a task's input replicas) and locality
+        on, the least-loaded free live node among them wins if there is
+        one; only those few nodes are looked at.
+        """
+        if preferred and self.locality_aware:
+            best = None
+            for name in preferred:
+                node = self.by_name.get(name)
+                if (node is not None and node.alive
+                        and node.busy < node.slots
+                        and (best is None or (node.busy, node.bit)
+                             < (best.busy, best.bit))):
+                    best = node
+            if best is not None:
+                return best
+        for mask in self.buckets:
+            if mask:
+                return self.by_rank[(mask & -mask).bit_length() - 1]
+        return None
+
+    def occupy(self, node: _NodeState) -> None:
+        """An attempt starts on ``node`` (live, with a free slot)."""
+        buckets = self.buckets
+        buckets[node.busy] &= ~node.bit
+        node.busy += 1
+        if node.busy < node.slots:
+            buckets[node.busy] |= node.bit
+
+    def vacate(self, node: _NodeState) -> None:
+        """An attempt on ``node`` ends, or is voided because it died."""
+        busy = node.busy
+        node.busy = busy - 1
+        if node.alive:
+            if busy < node.slots:
+                self.buckets[busy] &= ~node.bit
+            self.buckets[busy - 1] |= node.bit
+
+    def remove(self, node: _NodeState) -> None:
+        """``node`` dies: it never takes another attempt."""
+        node.alive = False
+        if node.busy < node.slots:
+            self.buckets[node.busy] &= ~node.bit
 
 
 #: Speculate only on attempts running longer than this multiple of the
@@ -296,6 +384,8 @@ class ClusterSimulator:
         nodes = [_NodeState(name, self.spec.slots_per_node,
                             self.slow_nodes.get(name, 1.0))
                  for name in self.spec.node_names()]
+        free_nodes = _FreeNodes(nodes, self.spec.slots_per_node,
+                                self.locality_aware)
         states = {job.job_id: _JobState(job) for job in dag}
         order = [job.job_id for job in dag.topological_order()]
         remaining_deps = {job.job_id: set(job.depends_on) for job in dag}
@@ -348,7 +438,7 @@ class ClusterSimulator:
             task_state = state.task_states[task]
             attempt_index = task_state.next_attempt
             task_state.next_attempt += 1
-            node.busy += 1
+            free_nodes.occupy(node)
             slot = node.acquire_slot()
             local = (not task.preferred_nodes
                      or node.name in task.preferred_nodes)
@@ -409,40 +499,44 @@ class ClusterSimulator:
                 label=attempt.task.label,
             ))
 
-        def scan_order() -> list[str]:
-            """Job priority per the scheduling policy.
+        def start_next(state: _JobState) -> bool:
+            """Start the head of the job's queue on the best free node;
+            False when the queue is empty or no slot is free."""
+            queue = state.pending_maps or state.pending_reduces
+            if not queue:
+                return False
+            task = queue[0]
+            node = free_nodes.pick(task.preferred_nodes)
+            if node is None:
+                return False
+            queue.pop(0)
+            start_attempt(state, task, node)
+            return True
 
-            FIFO scans jobs in activation order (earlier jobs monopolize
-            the cluster); FAIR scans jobs with the fewest running attempts
-            first, equalizing shares across concurrent jobs.
-            """
-            if self.scheduling == FAIR:
-                return sorted(
-                    runnable,
-                    key=lambda job_id: (states[job_id].running_attempts,
-                                        runnable.index(job_id)),
-                )
-            return list(runnable)
+        def fewest_running(job_id: str) -> int:
+            return states[job_id].running_attempts
 
         def dispatch() -> None:
-            """Greedy assignment: fill free slots per the scheduling policy."""
-            progress = True
-            while progress:
-                progress = False
-                for job_id in scan_order():
+            """Greedy assignment: fill free slots per the scheduling policy.
+
+            FIFO drains runnable jobs in activation order (earlier jobs
+            monopolize the cluster).  Starting an attempt never refills an
+            earlier job's queue, so one in-order pass equals rescanning
+            from the first job after every assignment.  FAIR serves the
+            job with the fewest running attempts first, equalizing shares
+            across concurrent jobs; every assignment changes those counts,
+            so it re-sorts after each one.  The sort is stable: ties keep
+            activation order.
+            """
+            if self.scheduling == FAIR:
+                while any(start_next(states[job_id]) for job_id
+                          in sorted(runnable, key=fewest_running)):
+                    pass
+            else:
+                for job_id in runnable:
                     state = states[job_id]
-                    queue = (state.pending_maps if state.pending_maps
-                             else state.pending_reduces)
-                    if not queue:
-                        continue
-                    task = queue[0]
-                    node = self._pick_node(nodes, task)
-                    if node is None:
-                        continue
-                    queue.pop(0)
-                    start_attempt(state, task, node)
-                    progress = True
-                    break  # restart scan so priorities stay fresh
+                    while start_next(state):
+                        pass
             if self.speculative:
                 speculate()
 
@@ -456,8 +550,7 @@ class ClusterSimulator:
             next_eligible: float | None = None
             while progress:
                 progress = False
-                free = [node for node in nodes if node.alive and node.free > 0]
-                if not free:
+                if not free_nodes.has_free():
                     return
                 for job_id in runnable:
                     state = states[job_id]
@@ -486,7 +579,7 @@ class ClusterSimulator:
                     # Longest-running straggler first.
                     target = min(candidates,
                                  key=lambda ts: min(ts.running.values()))
-                    node = self._pick_node(nodes, target.task)
+                    node = free_nodes.pick(target.task.preferred_nodes)
                     if node is None:
                         continue
                     target.speculated = True
@@ -546,7 +639,7 @@ class ClusterSimulator:
                     voided.discard(token)
                     continue
                 live_tokens.pop(token, None)
-                node.busy -= 1
+                free_nodes.vacate(node)
                 node.release_slot(slot)
                 state.running_attempts -= 1
                 task_state = state.task_states[attempt.task]
@@ -581,7 +674,7 @@ class ClusterSimulator:
                     voided.discard(token)
                     continue
                 live_tokens.pop(token, None)
-                node.busy -= 1
+                free_nodes.vacate(node)
                 node.release_slot(slot)
                 state.running_attempts -= 1
                 task_state = state.task_states[attempt.task]
@@ -637,7 +730,7 @@ class ClusterSimulator:
                 node = node_by_name[failure.node]
                 if not node.alive:
                     continue
-                node.alive = False
+                free_nodes.remove(node)
                 lost_nodes.append(failure)
                 revoked = failure.cause == CAUSE_REVOCATION
                 live = sum(1 for n in nodes if n.alive)
@@ -669,7 +762,7 @@ class ClusterSimulator:
                     del live_tokens[token]
                     voided.add(token)
                     cancelled.discard(token)
-                    node.busy -= 1
+                    free_nodes.vacate(node)
                     state.running_attempts -= 1
                     task_state = state.task_states[attempt.task]
                     task_state.running.pop(token, None)
@@ -792,18 +885,6 @@ class ClusterSimulator:
                                 reexecuted_tasks=reexecuted_tasks)
 
     # -- helpers -----------------------------------------------------------------
-
-    def _pick_node(self, nodes: list[_NodeState], task: Task) -> _NodeState | None:
-        free_nodes = [node for node in nodes if node.alive and node.free > 0]
-        if not free_nodes:
-            return None
-        if self.locality_aware and task.preferred_nodes:
-            local = [node for node in free_nodes
-                     if node.name in task.preferred_nodes]
-            if local:
-                # Least-loaded local node; name breaks ties deterministically.
-                return min(local, key=lambda node: (node.busy, node.name))
-        return min(free_nodes, key=lambda node: (node.busy, node.name))
 
     def _schedule_shuffle(self, state: _JobState, push_event) -> None:
         bandwidth = (self.spec.num_nodes

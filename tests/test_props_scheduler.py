@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.cloud import ClusterSpec, get_instance_type
 from repro.hadoop.job import Job, JobDag, JobKind
-from repro.hadoop.simulator import ClusterSimulator
+from repro.hadoop.simulator import ClusterSimulator, _FreeNodes, _NodeState
 from repro.hadoop.task import TaskWork, make_map_task
 from repro.hadoop.timemodel import TaskTimeModel
 
@@ -121,3 +121,65 @@ def test_simulation_is_deterministic(durations_per_job, nodes, slots):
         result = ClusterSimulator(spec, VariableTimeModel(durations)).run(dag)
         results.append(result.makespan)
     assert results[0] == pytest.approx(results[1], abs=0)
+
+
+def brute_force_pick(nodes, preferred):
+    """The scheduler's rule, spelled out: least ``(busy, name)`` among the
+    free live nodes, preferring the task's preferred nodes when one of
+    them is free."""
+    free = [node for node in nodes if node.alive and node.busy < node.slots]
+    local = [node for node in free if node.name in preferred]
+    candidates = local or free
+    if not candidates:
+        return None
+    return min(candidates, key=lambda node: (node.busy, node.name))
+
+
+OPERATIONS = st.lists(
+    st.tuples(st.sampled_from(["start", "start", "finish", "lose"]),
+              st.integers(0, 10**6),
+              st.frozensets(st.integers(0, 24), max_size=3)),
+    max_size=80,
+)
+
+
+@given(num_nodes=st.integers(1, 20), slots=st.integers(1, 4),
+       operations=OPERATIONS)
+@settings(max_examples=150, deadline=None)
+def test_free_node_index_matches_brute_force(num_nodes, slots, operations):
+    """Under any sequence of attempt starts, finishes and node losses, the
+    index picks exactly what a scan of every node would, and never a full
+    or dead node.  Names like ``m1.large-10`` < ``m1.large-2`` make string
+    order differ from numeric order; preferred names past the cluster size
+    name nodes that do not exist."""
+    nodes = [_NodeState(f"m1.large-{index}", slots)
+             for index in range(num_nodes)]
+    index = _FreeNodes(nodes, slots)
+    running: list[_NodeState] = []
+    for operation, choice, preferred_ids in operations:
+        preferred = frozenset(f"m1.large-{i}" for i in preferred_ids)
+        if operation == "start":
+            picked = index.pick(preferred)
+            assert picked is brute_force_pick(nodes, preferred)
+            assert index.pick() is brute_force_pick(nodes, frozenset())
+            if picked is None:
+                continue
+            assert picked.alive and picked.busy < picked.slots
+            index.occupy(picked)
+            running.append(picked)
+        elif operation == "finish" and running:
+            index.vacate(running.pop(choice % len(running)))
+        elif operation == "lose":
+            node = nodes[choice % num_nodes]
+            if not node.alive:
+                continue
+            index.remove(node)
+            # The simulator voids the dead node's attempts at once.
+            for attempt_node in [n for n in running if n is node]:
+                running.remove(attempt_node)
+                index.vacate(attempt_node)
+        assert index.has_free() == any(node.alive and node.busy < node.slots
+                                  for node in nodes)
+        for busy, mask in enumerate(index.buckets):
+            assert mask == sum(node.bit for node in nodes
+                               if node.alive and node.busy == busy)
